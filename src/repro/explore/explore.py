@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.pareto import kendall_tau, pareto_frontier, weighted_scalarization
 from ..runner.cache import ResultCache
-from ..runner.executors import Executor, default_executor
+from ..runner.executors import Executor, SerialExecutor
 from ..runner.sweep import _validate_chunk_size, evaluate_chunked, run_sweep
 from .space import DesignSpace
 from .strategies import DEFAULT_HALVING_OBJECTIVES, Candidate, SearchStrategy
@@ -335,7 +335,6 @@ def run_exploration(
     budget: int = 200,
     verify_top: int = 8,
     seed: Optional[int] = 0,
-    workers: int = 1,
     cache: Optional[ResultCache] = None,
     force: bool = False,
     objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
@@ -354,13 +353,12 @@ def run_exploration(
     ``executor`` is the :class:`~repro.runner.executors.Executor` every
     evaluation batch -- the strategy's proxy generations and the engine
     verification pass alike -- fans out through; its lifecycle belongs to
-    the caller.  When omitted, ``workers`` picks the classic local policy
-    (serial for ``<= 1``, else a process pool), so pre-executor call sites
-    behave unchanged.
+    the caller.  When omitted, everything runs on a
+    :class:`~repro.runner.executors.SerialExecutor`.
 
     ``proxy`` selects how analytic evaluations run.  ``"sweep"`` (default)
     materialises every point into an ad-hoc scenario and fans it through
-    :func:`run_sweep` -- worker pool and on-disk cache included.  ``"batched"``
+    :func:`run_sweep` -- executor and on-disk cache included.  ``"batched"``
     routes whole strategy generations through the kind's registered batch
     runner (:meth:`~repro.runner.scenarios.ScenarioRegistry.batch_runner`)
     via :func:`~repro.runner.sweep.evaluate_chunked`, which shares tallies
@@ -395,7 +393,7 @@ def run_exploration(
     _validate_chunk_size(chunk_size)  # fail before any evaluation runs
     batch_runner = resolve_batch_runner(space, proxy)
     if executor is None:
-        executor = default_executor(workers)
+        executor = SerialExecutor()
     if seed is None:
         # Draw an explicit seed and record it in the report: a run seeded
         # from OS entropy must still be replayable by passing the reported

@@ -51,7 +51,6 @@ from .executors import (
     SerialExecutor,
     Spool,
     WorkQueueExecutor,
-    default_executor,
     format_job_id,
     open_spool,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "auto_chunk_size",
     "canonical_json",
     "code_version",
-    "default_executor",
     "evaluate_chunked",
     "format_job_id",
     "open_spool",

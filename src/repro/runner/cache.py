@@ -7,16 +7,14 @@ file therefore invalidates the whole cache automatically; repeated sweeps on
 unchanged code are near-instant cache hits that return byte-identical results.
 
 Below the scenario cache sits :class:`SegmentMemo`: a process-wide (and
-optionally on-disk) memo of *simulated segment* results keyed by the program
-fingerprint of :meth:`repro.xnn.codegen.ProgramBuilder.fingerprint` (a hash
-of the per-FU uOP streams, the datapath configuration, the codegen options,
-and the code version).  Two scenarios that generate byte-identical programs
-for a segment -- the same encoder group appearing under different scenario
-names, a sweep revisiting a design point, ``explore --verify-top``
-re-certifying a point a previous exploration already simulated -- therefore
-run the event loop once; every later occurrence is a dictionary lookup that
-returns the exact same numbers (the differential suite pins memoized ==
-fresh byte for byte).
+optionally on-disk) memo of *simulated segment* results keyed by a workload
+fingerprint (a hash of the segment's builder-op descriptors, the datapath
+configuration, the codegen options, and the code version).  The same
+segment under two scenario names, a sweep revisiting a design point,
+``explore --verify-top`` re-certifying a point a previous exploration
+already simulated -- each runs codegen and the event loop once; every later
+occurrence is a dictionary lookup that returns the exact same numbers (the
+differential suite pins memoized == fresh byte for byte).
 """
 
 from __future__ import annotations
@@ -46,6 +44,22 @@ __all__ = [
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 _CODE_VERSION: Optional[str] = None
+
+
+def write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
+    """Write ``payload`` to ``path`` via a same-directory tempfile + rename,
+    so readers never observe a partial file; the tempfile is removed when
+    anything fails, and the error propagates."""
+    encoded = json.dumps(payload, sort_keys=True, indent=1)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(encoded)
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
 
 
 def code_version() -> str:
@@ -137,16 +151,7 @@ class ResultCache:
             "elapsed_s": elapsed_s,
             "result": result,
         }
-        encoded = json.dumps(payload, sort_keys=True, indent=1)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(encoded)
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        write_json_atomic(path, payload)
         return path
 
     # ------------------------------------------------------------------ load
@@ -241,16 +246,7 @@ class ResultCache:
             "elapsed_s": elapsed_s,
             "results": results,
         }
-        encoded = json.dumps(payload, sort_keys=True, indent=1)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(encoded)
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        write_json_atomic(path, payload)
         return path
 
     def load_chunk(
@@ -406,19 +402,15 @@ class ResultCache:
 
 
 class SegmentMemo:
-    """Memo of simulated segment results, keyed two ways per segment.
+    """Memo of simulated segment results, one entry per segment.
 
-    Every simulated segment is stored under **two keys**: the *upstream*
-    workload key (``workload-`` prefixed; a SHA-256 over the segment's
-    builder-op descriptors, the :class:`XNNConfig`, the
-    :class:`CodegenOptions`, and the code version, computed by
+    The key is the workload fingerprint (``workload-`` prefixed; a SHA-256
+    over the segment's builder-op descriptors, the :class:`XNNConfig`, the
+    :class:`CodegenOptions`, and the code version), computed by
     :meth:`repro.xnn.executor.XNNExecutor._workload_key` before any codegen
-    runs) and the *downstream* program fingerprint
-    (:meth:`repro.xnn.codegen.ProgramBuilder.fingerprint` -- a SHA-256 over
-    the per-FU uOP streams plus the same config/options/code version).  An
-    upstream hit skips codegen entirely; a downstream hit skips only the
-    event-loop simulation.  Either way a hit guarantees the skipped work
-    would have produced a byte-identical result.  The storage is layered:
+    runs.  A hit skips codegen and the event loop, and guarantees the
+    skipped work would have produced a byte-identical result.  The storage
+    is layered:
 
     * an **in-memory** dict, always on: identical segments within one process
       (one sweep, one exploration, one test run) simulate once;
@@ -511,35 +503,19 @@ class SegmentMemo:
         that produced the result.
         """
         self._memory[key] = dict(payload)
-        if fresh:
-            self._new[key] = {
-                "key": key,
-                "code_version": code_version(),
-                "result": dict(payload),
-            }
-        if self._root is None:
-            return
         entry = {
             "key": key,
             "code_version": code_version(),
             "result": dict(payload),
         }
-        encoded = json.dumps(entry, sort_keys=True, indent=1)
-        try:
-            fd, tmp_name = tempfile.mkstemp(dir=self._root, suffix=".tmp")
-        except OSError:
+        if fresh:
+            self._new[key] = entry
+        if self._root is None:
             return
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(encoded)
-            os.replace(tmp_name, self._path(key))
+            write_json_atomic(self._path(key), entry)
         except OSError:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+            pass  # the entry stays in memory only
 
     # ----------------------------------------------------- cross-host sharing
 

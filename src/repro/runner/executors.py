@@ -6,8 +6,7 @@ how the scenarios that missed the cache actually get computed -- to an
 
 * :class:`SerialExecutor` -- run every scenario in-process, in order.
 * :class:`ProcessPoolExecutor` -- fan out over a local ``multiprocessing``
-  pool (the pre-executor ``run_sweep(workers=N)`` behaviour, including the
-  per-worker segment-memo re-attachment).
+  pool, re-attaching the on-disk segment memo in every worker.
 * :class:`WorkQueueExecutor` -- fan out to *detached* worker processes over
   a **spool transport**.  The filesystem transport is a shared spool
   directory (:class:`Spool`): workers can run on any host that shares the
@@ -44,14 +43,13 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cache import code_version
+from .cache import code_version, write_json_atomic
 from .scenarios import DEFAULT_BACKEND, Scenario
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "SerialExecutor",
     "Spool",
     "WorkQueueExecutor",
-    "default_executor",
     "format_job_id",
     "open_spool",
     "scenario_from_payload",
@@ -230,33 +227,7 @@ class ProcessPoolExecutor(Executor):
         return [run_chunk_fn(chunk) for chunk in chunks]
 
 
-def default_executor(workers: Optional[int]) -> Executor:
-    """The executor a plain ``workers=N`` request maps to.
-
-    ``None`` or ``<= 1`` is the serial policy; anything larger is a local
-    process pool -- exactly the pre-executor ``run_sweep`` behaviour.
-    """
-    if workers is not None and workers > 1:
-        return ProcessPoolExecutor(workers)
-    return SerialExecutor()
-
-
 # ----------------------------------------------------------------- work queue
-
-
-def _write_json_atomic(directory: Path, path: Path, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` to ``path`` via a same-directory tempfile + rename,
-    so readers never observe a partial file."""
-    encoded = json.dumps(payload, sort_keys=True, indent=1)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(encoded)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 def _sanitize_id(identifier: str) -> str:
@@ -276,8 +247,8 @@ def _job_label(payload: Dict[str, Any]) -> str:
     return "<unknown job>"
 
 
-#: valid segment-memo keys on the wire: a hex program fingerprint or a
-#: ``workload-`` prefixed upstream key.  Anything else never becomes a
+#: valid segment-memo keys on the wire: filename-safe tokens (real keys are
+#: ``workload-`` prefixed hex digests).  Anything else never becomes a
 #: ``memo/`` filename (defence against a hostile or broken peer).
 _MEMO_KEY_RE = re.compile(r"[A-Za-z0-9-]{1,100}")
 
@@ -427,7 +398,7 @@ class Spool:
     def enqueue(self, job_id: str, payload: Dict[str, Any]) -> Path:
         """Publish one job file atomically; returns its pending path."""
         path = self.pending_dir / f"{job_id}.json"
-        _write_json_atomic(self.pending_dir, path, payload)
+        write_json_atomic(path, payload)
         return path
 
     def enqueue_many(self, jobs: Sequence[Tuple[str, Dict[str, Any]]]) -> int:
@@ -548,7 +519,7 @@ class Spool:
     def write_result(self, job_id: str, payload: Dict[str, Any]) -> Path:
         """Publish one result file atomically; returns its path."""
         path = self.results_dir / f"{job_id}.json"
-        _write_json_atomic(self.results_dir, path, payload)
+        write_json_atomic(path, payload)
         return path
 
     def result_path(self, job_id: str) -> Path:
@@ -655,9 +626,7 @@ class Spool:
             if not isinstance(key, str) or not _MEMO_KEY_RE.fullmatch(key):
                 continue
             try:
-                _write_json_atomic(
-                    self.memo_dir, self.memo_dir / f"{key}.json", entry
-                )
+                write_json_atomic(self.memo_dir / f"{key}.json", entry)
             except OSError:
                 continue
         known_keys = set(known)
@@ -694,9 +663,7 @@ class Spool:
             if info is None and path.exists():
                 os.utime(path)
             else:
-                _write_json_atomic(
-                    self.workers_dir, path, {"worker": worker_id, **(info or {})}
-                )
+                write_json_atomic(path, {"worker": worker_id, **(info or {})})
         except OSError:
             pass
 

@@ -16,15 +16,16 @@ Every sweep runs on one execution *backend*: the event-driven ``"engine"``
 backend is part of the cache identity, so engine and analytic results never
 collide on disk.
 
-Batch-capable kinds additionally travel as **chunk jobs**: contiguous
-slices of a generation, each evaluated in a single batch-runner call
-wherever the executor lands it (in-process, pool worker, or a detached
-workqueue worker).  :func:`run_sweep` shards cache-missing batch-capable
-scenarios into chunks on distributed executors (``chunk_size`` selects the
-policy), and :func:`evaluate_chunked` is the list-of-params front door the
-exploration layer uses -- with per-chunk result caching so warm reruns
-skip whole chunks.  Chunk results splice back in submission order, so the
-outcome is byte-identical to the serial batched path by the batch-runner
+Batch-capable kinds travel as **chunk jobs**: contiguous slices of a
+generation, each evaluated in a single batch-runner call wherever the
+executor lands it (in-process, pool worker, or a detached workqueue
+worker).  :func:`run_sweep` and :func:`evaluate_chunked` (the
+list-of-params front door the exploration layer uses, with per-chunk
+result caching so warm reruns skip whole chunks) share one chunk path on
+every executor; ``chunk_size`` selects how a generation is sharded, and a
+serial executor under the default policy gets one whole-generation chunk
+per kind.  Chunk results splice back in submission order, so the outcome
+is byte-identical to one in-process batch call by the batch-runner
 equality contract.
 """
 
@@ -32,13 +33,12 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .cache import ResultCache, configure_segment_memo
-from .executors import ChunkJob, ChunkResult, Executor, SerialExecutor, default_executor
+from .executors import ChunkJob, ChunkResult, Executor, SerialExecutor
 from .scenarios import BACKENDS, DEFAULT_BACKEND, REGISTRY, Scenario
 
 __all__ = [
@@ -54,12 +54,12 @@ __all__ = [
 #: CLI, :func:`run_sweep`, :func:`evaluate_chunked`):
 #:
 #: * ``None``      -- default policy: serial executors evaluate the whole
-#:   generation in one batch call; distributed executors shard it with
+#:   generation as one chunk; distributed executors shard it with
 #:   :func:`auto_chunk_size`.
 #: * ``"auto"``    -- shard with :func:`auto_chunk_size` on any executor.
-#: * ``"off"``     -- never batch: one scalar job per scenario everywhere
-#:   (the pre-chunking behaviour, kept as the benchmark baseline and as an
-#:   escape hatch).
+#: * ``"off"``     -- never shard: :func:`run_sweep` sends one scalar job
+#:   per scenario, :func:`evaluate_chunked` one whole-generation chunk (kept
+#:   as the benchmark baseline and as an escape hatch).
 #: * ``int >= 1``  -- shard into chunks of exactly this many points.
 CHUNK_SIZE_POLICIES = (None, "auto", "off")
 
@@ -118,42 +118,6 @@ def _run_one(
     start = time.perf_counter()
     result = REGISTRY.run(scenario, backend=backend)
     return scenario.name, result, time.perf_counter() - start
-
-
-def _run_batched(
-    scenarios: List[Scenario], backend: str
-) -> Tuple[List[Scenario], List[Tuple[Scenario, Dict[str, Any], float]]]:
-    """Evaluate the batch-capable kinds of a sweep generation-at-a-time.
-
-    Scenarios whose kind registers a batch runner for ``backend`` are grouped
-    by kind and handed to it in one call each -- the in-process fast path for
-    serial sweeps (a batch runner's contract is result equality with the
-    scalar runner, so outcomes are indistinguishable).  Returns the scenarios
-    that must still go through the executor, plus ``(scenario, result,
-    elapsed_s)`` tuples for the batched ones; the batch call's wall time is
-    attributed evenly across its scenarios.
-    """
-    groups: Dict[str, List[Scenario]] = {}
-    remaining: List[Scenario] = []
-    for scenario in scenarios:
-        if REGISTRY.batch_runner(scenario.kind, backend) is None:
-            remaining.append(scenario)
-        else:
-            groups.setdefault(scenario.kind, []).append(scenario)
-    executed: List[Tuple[Scenario, Dict[str, Any], float]] = []
-    for kind, group in groups.items():
-        runner = REGISTRY.batch_runner(kind, backend)
-        start = time.perf_counter()
-        results = runner([dict(scenario.params) for scenario in group])
-        elapsed_s = (time.perf_counter() - start) / len(group)
-        if len(results) != len(group):
-            raise RuntimeError(
-                f"batch runner for kind {kind!r} ({backend} backend) returned "
-                f"{len(results)} results for {len(group)} scenarios"
-            )
-        for scenario, result in zip(group, results):
-            executed.append((scenario, result, elapsed_s))
-    return remaining, executed
 
 
 # ------------------------------------------------------------------ chunking
@@ -270,51 +234,69 @@ def _run_chunk(
     return results, elapsed_s
 
 
-def _run_chunked(
-    scenarios: List[Scenario],
+def _evaluate_chunks(
+    groups: Sequence[Tuple[str, Sequence[Dict[str, Any]]]],
     backend: str,
     executor: Executor,
     chunk_size: Optional[Union[int, str]],
     segment_memo_dir: Optional[str],
-) -> Tuple[List[Scenario], List[Tuple[Scenario, Dict[str, Any], float]]]:
-    """Shard the batch-capable kinds of a sweep into chunk jobs.
+    align: int = 1,
+    cache: Optional[ResultCache] = None,
+    force: bool = False,
+) -> Tuple[List[List[Tuple[Dict[str, Any], float]]], int]:
+    """Evaluate ``(kind, params_list)`` groups as chunk jobs on ``executor``.
 
-    The distributed counterpart of :func:`_run_batched`: scenarios whose
-    kind registers a batch runner are grouped by kind, partitioned into
-    contiguous chunks, and submitted through
-    :meth:`~repro.runner.executors.Executor.submit_chunks`; the rest go
-    back to the caller for the scalar path.  Chunk results splice back in
-    submission order, and each chunk's wall time is attributed evenly
-    across its points.
+    The one path for batch-capable kinds.  Each group is partitioned into
+    contiguous chunks -- a single whole-group chunk on a serial executor
+    under the default policy (and under ``"off"``), else sized by
+    :func:`resolve_chunk_size` -- and every chunk the ``cache`` does not
+    already hold goes out in one
+    :meth:`~repro.runner.executors.Executor.submit_chunks` call, then into
+    the cache.  Returns, per group and in input order, ``(result,
+    elapsed_s)`` pairs -- each chunk's wall time attributed evenly across
+    its points -- plus the number of points served from the cache.
     """
-    groups: Dict[str, List[Scenario]] = {}
-    remaining: List[Scenario] = []
-    for scenario in scenarios:
-        if REGISTRY.batch_runner(scenario.kind, backend) is None:
-            remaining.append(scenario)
-        else:
-            groups.setdefault(scenario.kind, []).append(scenario)
-    if not groups:
-        return remaining, []
-    chunks: List[ChunkJob] = []
-    members: List[List[Scenario]] = []
-    for kind, group in groups.items():
-        size = resolve_chunk_size(chunk_size, len(group))
-        for start, stop in partition_chunks(len(group), size):
-            part = group[start:stop]
-            chunks.append((kind, [dict(scenario.params) for scenario in part]))
-            members.append(part)
-    executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
-    raw = executor.submit_chunks(
-        chunks,
-        partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
+    whole = chunk_size == "off" or (
+        chunk_size is None and isinstance(executor, SerialExecutor)
     )
-    executed: List[Tuple[Scenario, Dict[str, Any], float]] = []
-    for part, (results, elapsed_s) in zip(members, raw):
-        per_point = elapsed_s / len(part)
-        for scenario, result in zip(part, results):
-            executed.append((scenario, result, per_point))
-    return remaining, executed
+    evaluated: List[List[Any]] = [[None] * len(params) for _, params in groups]
+    pending: List[Tuple[int, int, int]] = []
+    cached_points = 0
+    for index, (kind, params_list) in enumerate(groups):
+        total = len(params_list)
+        size = total if whole else resolve_chunk_size(chunk_size, total, align)
+        for start, stop in partition_chunks(total, size):
+            payload = (
+                None
+                if (cache is None or force)
+                else cache.load_chunk(kind, params_list[start:stop], backend=backend)
+            )
+            if payload is None:
+                pending.append((index, start, stop))
+                continue
+            per_point = payload.get("elapsed_s", 0.0) / (stop - start)
+            evaluated[index][start:stop] = [(r, per_point) for r in payload["results"]]
+            cached_points += stop - start
+    if pending:
+        configure_segment_memo(segment_memo_dir)
+        executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
+        chunks: List[ChunkJob] = [
+            (groups[index][0], [dict(p) for p in groups[index][1][start:stop]])
+            for index, start, stop in pending
+        ]
+        raw = executor.submit_chunks(
+            chunks,
+            partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
+        )
+        for (index, start, stop), (results, elapsed_s) in zip(pending, raw):
+            per_point = elapsed_s / (stop - start)
+            evaluated[index][start:stop] = [(r, per_point) for r in results]
+            if cache is not None:
+                kind, params_list = groups[index]
+                cache.store_chunk(
+                    kind, params_list[start:stop], results, elapsed_s, backend=backend
+                )
+    return evaluated, cached_points
 
 
 def evaluate_chunked(
@@ -333,14 +315,14 @@ def evaluate_chunked(
     The exploration layer's batched-proxy front door: one parameter mapping
     per point, results returned in input order, byte-identical to a single
     in-process batch call (which is exactly what a serial executor with the
-    default ``chunk_size=None`` performs).  ``cache`` stores one entry per
-    *chunk*, keyed like per-scenario entries (canonical params + backend +
-    code version -- see :meth:`~repro.runner.cache.ResultCache.chunk_key`),
-    so a warm rerun skips whole chunks without executing anything;
-    ``align`` feeds the auto chunk-size heuristic so cache keys stay stable
-    across runs that share a design space.  Returns ``(results,
-    cached_points)`` where ``cached_points`` counts points served from the
-    chunk cache.
+    default ``chunk_size=None`` performs: one whole-generation chunk).
+    ``cache`` stores one entry per *chunk*, keyed like per-scenario entries
+    (canonical params + backend + code version -- see
+    :meth:`~repro.runner.cache.ResultCache.chunk_key`), so a warm rerun
+    skips whole chunks without executing anything; ``align`` feeds the auto
+    chunk-size heuristic so cache keys stay stable across runs that share a
+    design space.  Returns ``(results, cached_points)`` where
+    ``cached_points`` counts points served from the chunk cache.
     """
     _validate_chunk_size(chunk_size)
     if REGISTRY.batch_runner(kind, backend) is None:
@@ -351,61 +333,22 @@ def evaluate_chunked(
     total = len(params_list)
     if total == 0:
         return [], 0
-    if executor is None:
-        executor = SerialExecutor()
-    if chunk_size == "off" or (
-        chunk_size is None and isinstance(executor, SerialExecutor)
-    ):
-        # One chunk spanning the generation: the classic serial batched
-        # call ("off" additionally forces it through a single job even on
-        # distributed executors -- chunking disabled, not scalarised, since
-        # this path exists only for batch-capable kinds).
-        size = total
-    else:
-        size = resolve_chunk_size(chunk_size, total, align=align)
     segment_memo_dir = str(cache.segments_dir) if cache is not None else None
-    results: List[Optional[Dict[str, Any]]] = [None] * total
-    pending: List[Tuple[int, int]] = []
-    cached_points = 0
-    for start, stop in partition_chunks(total, size):
-        part = params_list[start:stop]
-        payload = (
-            None
-            if (cache is None or force)
-            else cache.load_chunk(kind, part, backend=backend)
-        )
-        if payload is not None:
-            results[start:stop] = payload["results"]
-            cached_points += stop - start
-        else:
-            pending.append((start, stop))
-    if pending:
-        configure_segment_memo(segment_memo_dir)
-        executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
-        chunks: List[ChunkJob] = [
-            (kind, [dict(params) for params in params_list[start:stop]])
-            for start, stop in pending
-        ]
-        raw = executor.submit_chunks(
-            chunks,
-            partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
-        )
-        for (start, stop), (chunk_results, elapsed_s) in zip(pending, raw):
-            results[start:stop] = chunk_results
-            if cache is not None:
-                cache.store_chunk(
-                    kind,
-                    params_list[start:stop],
-                    chunk_results,
-                    elapsed_s,
-                    backend=backend,
-                )
-    return results, cached_points
+    (evaluated,), cached_points = _evaluate_chunks(
+        [(kind, params_list)],
+        backend,
+        executor or SerialExecutor(),
+        chunk_size,
+        segment_memo_dir,
+        align=align,
+        cache=cache,
+        force=force,
+    )
+    return [result for result, _ in evaluated], cached_points
 
 
 def run_sweep(
     scenarios: Sequence[Union[str, Scenario]],
-    workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     force: bool = False,
     backend: str = DEFAULT_BACKEND,
@@ -420,11 +363,8 @@ def run_sweep(
         The :class:`~repro.runner.executors.Executor` that computes the
         cache misses -- ``SerialExecutor()`` when omitted.  The executor's
         lifecycle belongs to the caller (one instance can serve many
-        sweeps); ``run_sweep`` only calls ``configure`` + ``submit``.
-    workers:
-        Deprecated alias: ``workers=N`` constructs the executor a plain
-        worker count maps to (serial for ``N <= 1``, else a local
-        ``ProcessPoolExecutor``).  Mutually exclusive with ``executor``.
+        sweeps); ``run_sweep`` only calls ``configure``, ``submit`` and
+        ``submit_chunks``.
     cache:
         Optional :class:`ResultCache`.  Hits skip execution entirely; misses
         are stored after execution.
@@ -438,29 +378,16 @@ def run_sweep(
     chunk_size:
         How batch-capable kinds shard into chunk jobs -- one of
         :data:`CHUNK_SIZE_POLICIES` or an explicit ``int``.  The default
-        (``None``) keeps serial sweeps on the whole-generation batched path
-        and auto-shards on every other executor; ``"off"`` forces one
+        (``None``) gives a serial executor one whole-generation chunk per
+        kind and auto-shards on every other executor; ``"off"`` forces one
         scalar job per scenario everywhere.  Kinds without a batch runner
         always take the scalar path regardless.
     """
     if backend not in BACKENDS:
         raise KeyError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
     _validate_chunk_size(chunk_size)
-    if workers is not None:
-        if executor is not None:
-            raise ValueError(
-                "pass either executor= or the deprecated " "workers= alias, not both"
-            )
-        warnings.warn(
-            "run_sweep(workers=...) is deprecated; pass "
-            "executor=ProcessPoolExecutor(workers) (or another "
-            "repro.runner.executors.Executor) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        executor = default_executor(workers)
-    elif executor is None:
-        executor = default_executor(None)
+    if executor is None:
+        executor = SerialExecutor()
     resolved = _resolve(scenarios)
     for scenario in resolved:
         # Fail the whole sweep up front rather than mid-flight in a worker.
@@ -507,30 +434,40 @@ def run_sweep(
         # stale cache directory.
         segment_memo_dir = str(cache.segments_dir) if cache is not None else None
         configure_segment_memo(segment_memo_dir)
-        # Serial sweeps route batch-capable kinds through their batch runner
-        # generation-at-a-time (shared tallies, vectorized rooflines) instead
-        # of one scalar call per scenario.  Distributed executors shard the
-        # same kinds into chunk jobs -- contiguous slices that run the batch
-        # runner worker-side -- so fan-out no longer forfeits the batching
-        # win; ``chunk_size="off"`` restores per-scenario jobs everywhere.
+        # Batch-capable kinds evaluate as chunk jobs, grouped by kind (shared
+        # tallies, vectorized rooflines); ``chunk_size="off"`` and kinds
+        # without a batch runner take one scalar job per scenario.
+        groups: Dict[str, List[Scenario]] = {}
+        scalar: List[Scenario] = []
+        for scenario in to_run:
+            batched = REGISTRY.batch_runner(scenario.kind, backend) is not None
+            if batched and chunk_size != "off":
+                groups.setdefault(scenario.kind, []).append(scenario)
+            else:
+                scalar.append(scenario)
         executed: List[Tuple[Scenario, Dict[str, Any], float]] = []
-        if chunk_size == "off":
-            pass  # every scenario takes the scalar path below
-        elif chunk_size is None and isinstance(executor, SerialExecutor):
-            to_run, executed = _run_batched(to_run, backend)
-        else:
-            to_run, executed = _run_chunked(
-                to_run, backend, executor, chunk_size, segment_memo_dir
+        if groups:
+            evaluated, _ = _evaluate_chunks(
+                [(kind, [sc.params for sc in group]) for kind, group in groups.items()],
+                backend,
+                executor,
+                chunk_size,
+                segment_memo_dir,
             )
-        if to_run:
+            for group, pairs in zip(groups.values(), evaluated):
+                executed.extend(
+                    (scenario, result, elapsed)
+                    for scenario, (result, elapsed) in zip(group, pairs)
+                )
+        if scalar:
             executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
             raw = executor.submit(
-                to_run,
+                scalar,
                 partial(_run_one, backend=backend, segment_memo_dir=segment_memo_dir),
             )
             executed.extend(
                 (scenario, result, elapsed)
-                for scenario, (_, result, elapsed) in zip(to_run, raw)
+                for scenario, (_, result, elapsed) in zip(scalar, raw)
             )
         for scenario, result, elapsed in executed:
             outcomes[_key(scenario)] = SweepOutcome(

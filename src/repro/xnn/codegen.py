@@ -815,8 +815,11 @@ class ProgramBuilder:
         and (d) the code version, so editing any source file invalidates
         every memoized segment exactly like the scenario cache.
 
-        This is the key of the :class:`~repro.runner.cache.SegmentMemo`
-        layer: equal fingerprints guarantee byte-identical simulations.
+        Equal fingerprints guarantee byte-identical simulations.  The
+        :class:`~repro.runner.cache.SegmentMemo` is keyed upstream of this,
+        on the workload descriptor (see
+        :meth:`repro.xnn.executor.XNNExecutor._workload_key`), so a memo
+        hit never generates the program this method hashes.
         """
         if not self._finalized:
             self.finalize()

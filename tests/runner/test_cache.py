@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.runner import REGISTRY, ResultCache, code_version
+from repro.runner import cache as cache_module
+from repro.runner.cache import write_json_atomic
 from repro.runner.scenarios import Scenario
 
 
@@ -89,6 +91,36 @@ class TestResultCache:
         monkeypatch.setattr(Path, "unlink", racy_unlink)
         assert cache.clear() == 1  # the second entry; the raced one is free
         assert cache.entries() == []
+
+
+class TestWriteJsonAtomic:
+    def test_writes_sorted_json_and_leaves_no_tempfile(self, tmp_path):
+        path = tmp_path / "entry.json"
+        write_json_atomic(path, {"b": 2, "a": [1.5, "x"]})
+        assert json.loads(path.read_text()) == {"a": [1.5, "x"], "b": 2}
+        assert path.read_text() == json.dumps({"a": [1.5, "x"], "b": 2},
+                                              sort_keys=True, indent=1)
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
+
+    def test_failed_replace_keeps_old_file_and_removes_tempfile(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "entry.json"
+        write_json_atomic(path, {"version": 1})
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cache_module.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_json_atomic(path, {"version": 2})
+        assert json.loads(path.read_text()) == {"version": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
+
+    def test_unencodable_payload_writes_nothing(self, tmp_path):
+        path = tmp_path / "entry.json"
+        with pytest.raises(TypeError):
+            write_json_atomic(path, {"bad": object()})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPrune:

@@ -19,9 +19,8 @@ import pytest
 from repro.runner import REGISTRY, canonical_json
 from repro.runner.cache import code_version
 from repro.runner.executors import (ProcessPoolExecutor, SerialExecutor, Spool,
-                                    WorkQueueExecutor, default_executor,
-                                    format_job_id, scenario_from_payload,
-                                    scenario_to_payload)
+                                    WorkQueueExecutor, format_job_id,
+                                    scenario_from_payload, scenario_to_payload)
 from repro.runner.scenarios import Scenario
 from repro.runner.worker import run_worker
 
@@ -56,13 +55,6 @@ class TestScenarioWireFormat:
 
 
 class TestExecutorConstruction:
-    def test_default_executor_maps_worker_counts(self):
-        assert isinstance(default_executor(None), SerialExecutor)
-        assert isinstance(default_executor(1), SerialExecutor)
-        pool = default_executor(4)
-        assert isinstance(pool, ProcessPoolExecutor)
-        assert pool.workers == 4
-
     def test_pool_rejects_non_positive_workers(self):
         with pytest.raises(ValueError):
             ProcessPoolExecutor(0)

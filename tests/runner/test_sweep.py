@@ -58,6 +58,41 @@ class TestRunSweep:
         forced = run_sweep(CHEAP[:2], cache=cache, force=True)
         assert all(not o.cached for o in forced)
 
+    def test_serial_sweep_sends_each_batched_kind_as_one_chunk(self):
+        # Under the default policy a serial executor evaluates every
+        # batch-capable kind as one whole-generation chunk, and only kinds
+        # without a batch runner take scalar jobs; the results are the
+        # scalar ("off") path's, byte for byte.
+        class CountingExecutor(SerialExecutor):
+            def __init__(self):
+                super().__init__()
+                self.chunks = []
+                self.scalar = 0
+
+            def submit(self, jobs, run_one_fn):
+                self.scalar += len(jobs)
+                return super().submit(jobs, run_one_fn)
+
+            def submit_chunks(self, chunks, run_chunk_fn):
+                self.chunks.extend((kind, len(params))
+                                   for kind, params in chunks)
+                return super().submit_chunks(chunks, run_chunk_fn)
+
+        names = ["table6b/gemm-1024", "fig18/rsn-b1", "table6a/aie-32x16x32",
+                 "table6b/gemm-3072", "fig18/rsn-b2"]
+        executor = CountingExecutor()
+        batched = run_sweep(names, backend="analytic", executor=executor)
+        assert sorted(executor.chunks) == [("xnn_encoder", 2), ("xnn_gemm", 2)]
+        assert executor.scalar == 1
+        assert [o.scenario for o in batched] == names
+        scalar = run_sweep(names, backend="analytic", chunk_size="off")
+        assert _dumps(batched) == _dumps(scalar)
+
+    def test_workers_keyword_is_not_accepted(self):
+        # The executor is the one way to choose parallelism.
+        with pytest.raises(TypeError):
+            run_sweep(CHEAP[:1], workers=2)
+
     def test_duplicate_names_execute_only_once(self, monkeypatch):
         import repro.runner.sweep as sweep_module
         calls = []
@@ -89,17 +124,6 @@ class TestRunSweep:
         # The cache entry belongs to the ad-hoc identity, not the registered one.
         assert cache.load(ad_hoc)["result"] == outcome.result
         assert cache.load(REGISTRY.get("smoke/engine-chain")) is None
-
-    def test_workers_alias_warns_and_matches_executor(self):
-        names = CHEAP[:2]
-        via_executor = run_sweep(names, executor=ProcessPoolExecutor(2))
-        with pytest.warns(DeprecationWarning, match="workers=.*deprecated"):
-            via_alias = run_sweep(names, workers=2)
-        assert _dumps(via_executor) == _dumps(via_alias)
-
-    def test_workers_and_executor_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_sweep(CHEAP[:1], workers=2, executor=SerialExecutor())
 
     def test_large_duplicate_sweep_resolves_fast(self, monkeypatch):
         # Regression for the O(n^2) duplicate scan: resolving the work list
