@@ -373,8 +373,9 @@ def run_exploration(
 
     ``chunk_size`` is one of
     :data:`~repro.runner.sweep.CHUNK_SIZE_POLICIES` (``None`` / ``"auto"``
-    / ``"off"``) or an explicit ``int`` points-per-chunk; it only affects
-    the batched proxy (sweep mode ships per-scenario jobs regardless).
+    / ``"off"``) or an explicit ``int`` points-per-chunk.  Sweep mode
+    passes it to :func:`run_sweep`, which also ships batch-capable kinds
+    as chunk jobs unless it is ``"off"`` (one scalar job per scenario).
 
     ``weights`` (payload key -> non-negative weight, e.g. ``{"latency_s": 2,
     "offchip_bytes": 1}``) turns the report's ordering from pure
@@ -431,6 +432,7 @@ def run_exploration(
             cache=cache,
             force=force,
             backend="analytic",
+            chunk_size=chunk_size,
         )
         stats["evaluations"] += len(outcomes)
         stats["cache_hits"] += sum(1 for o in outcomes if o.cached)

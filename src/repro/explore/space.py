@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -32,6 +33,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from ..runner.scenarios import Scenario, canonical_json
 
@@ -59,11 +62,18 @@ class Axis:
 
 @dataclass(frozen=True)
 class Constraint:
-    """A named feasibility predicate over a full axis assignment."""
+    """A named feasibility predicate over an axis assignment.
+
+    ``axes`` names the axes the predicate reads.  The space's feasibility
+    mask runs the predicate once per distinct combination of those axes
+    (passing only them) and broadcasts the answer over every other axis;
+    the empty tuple means "reads every axis" and runs it once per point.
+    """
 
     name: str
     predicate: Callable[[Mapping[str, Any]], bool]
     description: str = ""
+    axes: Tuple[str, ...] = ()
 
     def satisfied(self, assignment: Mapping[str, Any]) -> bool:
         return bool(self.predicate(assignment))
@@ -95,6 +105,19 @@ def scale_seq_len(params: Dict[str, Any], fraction: float) -> Dict[str, Any]:
     return params
 
 
+def _positions(values: Sequence[Any]) -> Dict[Tuple[type, Any], int]:
+    """Each hashable axis value's position, keyed type-exactly so ``1``,
+    ``1.0`` and ``True`` stay distinct; unhashable values have no entry
+    and so always count as off-grid."""
+    positions = {}
+    for position, value in enumerate(values):
+        try:
+            positions[(type(value), value)] = position
+        except TypeError:
+            continue
+    return positions
+
+
 #: signature of a fidelity hook: ``(params, fraction) -> params``.
 FidelityHook = Callable[[Dict[str, Any], float], Dict[str, Any]]
 
@@ -117,9 +140,9 @@ class DesignSpace:
         Fixed parameters merged under every assignment (the non-searched
         arguments of the kind).
     constraints:
-        Feasibility predicates; infeasible assignments are silently skipped
-        during enumeration (that is their job), but materialising one
-        explicitly raises.
+        Feasibility predicates, each declaring the axes it reads;
+        infeasible assignments are silently skipped during enumeration
+        (that is their job), but materialising one explicitly raises.
     fidelity_hook:
         ``(params, fraction) -> params`` transformation for reduced-fidelity
         evaluation; defaults to :func:`scale_seq_len`.
@@ -145,6 +168,14 @@ class DesignSpace:
             raise ValueError(
                 f"axes {sorted(overlap)} shadow base_params in design space {name!r}"
             )
+        for constraint in constraints:
+            undeclared = sorted(set(constraint.axes) - set(names))
+            if undeclared:
+                raise ValueError(
+                    f"constraint {constraint.name!r} declares unknown axis "
+                    f"name(s) {undeclared} in design space {name!r}; "
+                    f"axes: {sorted(names)}"
+                )
         self.name = name
         self.axes: Tuple[Axis, ...] = tuple(axes)
         self.kind = kind
@@ -152,8 +183,14 @@ class DesignSpace:
         self.constraints: Tuple[Constraint, ...] = tuple(constraints)
         self.fidelity_hook = fidelity_hook
         self.description = description
+        self._axis_names = frozenset(names)
+        #: per axis: its name, type-exact value key -> position, and size.
+        self._grid: Tuple[Tuple[str, Dict[Tuple[type, Any], int], int], ...] = tuple(
+            (axis.name, _positions(axis.values), len(axis.values))
+            for axis in self.axes
+        )
+        self._mask: Optional[np.ndarray] = None
         self._points: Optional[List[Dict[str, Any]]] = None
-        self._feasible_count: Optional[int] = None
 
     # ------------------------------------------------------------ enumeration
 
@@ -165,44 +202,83 @@ class DesignSpace:
             size *= len(axis.values)
         return size
 
+    def _feasibility_mask(self) -> np.ndarray:
+        """One boolean per raw point, flat in axis-major order (memoised).
+
+        Each constraint runs once per distinct combination of its declared
+        axes and is broadcast over the rest, so a constraint over three
+        small axes costs a handful of predicate calls however large the
+        space.  At one byte per raw point, a 10^6-point space still streams.
+        """
+        if self._mask is None:
+            mask = np.ones([len(axis.values) for axis in self.axes], dtype=bool)
+            for constraint in self.constraints:
+                mask &= self._constraint_mask(constraint)
+            self._mask = mask.reshape(-1)
+        return self._mask
+
+    def _constraint_mask(self, constraint: Constraint) -> np.ndarray:
+        """``constraint`` over its declared axes, shaped to broadcast."""
+        read = set(constraint.axes) or self._axis_names
+        axes = [axis for axis in self.axes if axis.name in read]
+        names = [axis.name for axis in axes]
+        combos = itertools.product(*(axis.values for axis in axes))
+        flat = np.fromiter(
+            (constraint.satisfied(dict(zip(names, combo))) for combo in combos),
+            dtype=bool,
+            count=math.prod(len(axis.values) for axis in axes),
+        )
+        return flat.reshape(
+            [len(axis.values) if axis.name in read else 1 for axis in self.axes]
+        )
+
+    def _flat_index(self, assignment: Mapping[str, Any]) -> Optional[int]:
+        """The assignment's position in the raw product, or ``None`` when
+        it is not exactly one on-grid value per axis."""
+        if len(assignment) != len(self.axes):
+            return None
+        index = 0
+        try:
+            for name, positions, size in self._grid:
+                value = assignment[name]
+                position = positions.get((type(value), value))
+                if position is None:
+                    return None
+                index = index * size + position
+        except (KeyError, TypeError):  # a missing name or unhashable value
+            return None
+        return index
+
     def feasible(self, assignment: Mapping[str, Any]) -> bool:
-        return all(c.satisfied(assignment) for c in self.constraints)
+        """Whether ``assignment`` satisfies every constraint.
+
+        On-grid assignments are a lookup in the feasibility mask; anything
+        else (a value not on its axis, a missing or extra name) runs the
+        predicates on the assignment as given.
+        """
+        index = self._flat_index(assignment)
+        if index is None:
+            return all(c.satisfied(assignment) for c in self.constraints)
+        return bool(self._feasibility_mask()[index])
 
     def iter_points(self) -> Iterator[Dict[str, Any]]:
         """Yield every feasible assignment in deterministic axis-major order
         -- the streaming counterpart of :meth:`points`.
 
-        Nothing is materialised or memoised: infeasible combinations are
-        filtered as the cartesian product is walked, so a 10^6-point space
-        costs one assignment dict of memory at a time.  Strategies that can
-        consume a stream (grid search) use this; strategies whose seeded
-        sampling needs the full indexed list (random, halving) still call
-        :meth:`points`.  When the list is already memoised the stream
-        replays it (same dicts, same order) rather than re-running the
-        constraint predicates.
+        Walks the cartesian product against the feasibility mask, so a
+        10^6-point space costs the mask plus one assignment dict at a time.
+        Strategies that can consume a stream (grid search) use this;
+        strategies whose seeded sampling needs the full indexed list
+        (random, halving) call :meth:`points`.
         """
-        if self._points is not None:
-            yield from self._points
-            return
         names = [axis.name for axis in self.axes]
-        for combo in itertools.product(*(axis.values for axis in self.axes)):
-            assignment = dict(zip(names, combo))
-            if self.feasible(assignment):
-                yield assignment
+        combos = itertools.product(*(axis.values for axis in self.axes))
+        for combo in itertools.compress(combos, self._feasibility_mask()):
+            yield dict(zip(names, combo))
 
     def feasible_count(self) -> int:
-        """How many feasible assignments the space has (memoised).
-
-        Streams :meth:`iter_points` on first call, so counting a huge space
-        never materialises it -- and a memoised :meth:`points` list short-
-        circuits to its length.
-        """
-        if self._feasible_count is None:
-            if self._points is not None:
-                self._feasible_count = len(self._points)
-            else:
-                self._feasible_count = sum(1 for _ in self.iter_points())
-        return self._feasible_count
+        """How many feasible assignments the space has: the mask's sum."""
+        return int(np.count_nonzero(self._feasibility_mask()))
 
     def chunk_alignment(self, cap: int = 4096) -> int:
         """The largest trailing-axis block size not exceeding ``cap``: the
@@ -231,16 +307,15 @@ class DesignSpace:
     def points(self) -> List[Dict[str, Any]]:
         """Every feasible assignment, in deterministic axis-major order.
 
-        The enumeration is memoised (axes and constraints are immutable
-        after construction, and constraint predicates may be expensive);
-        callers get a fresh list each time but share the assignment dicts,
-        which nothing in the explorer mutates.  Prefer :meth:`iter_points`
-        /:meth:`feasible_count` where a stream or a count suffices -- this
-        list is what makes 10^6-point spaces expensive to hold.
+        The list is memoised (axes and constraints are immutable after
+        construction); callers get a fresh list each time but share the
+        assignment dicts, which nothing in the explorer mutates.  Prefer
+        :meth:`iter_points`/:meth:`feasible_count` where a stream or a
+        count suffices -- this list is what makes 10^6-point spaces
+        expensive to hold.
         """
         if self._points is None:
             self._points = list(self.iter_points())
-            self._feasible_count = len(self._points)
         return list(self._points)
 
     # --------------------------------------------------------- materialising
@@ -264,12 +339,11 @@ class DesignSpace:
         feed these mappings straight to a registered batch runner.
         Infeasible assignments and unknown axis names raise ``ValueError``.
         """
-        known = {axis.name for axis in self.axes}
-        unknown = sorted(set(assignment) - known)
+        unknown = sorted(set(assignment) - self._axis_names)
         if unknown:
             raise ValueError(
                 f"unknown axis name(s) {unknown} for design space "
-                f"{self.name!r}; axes: {sorted(known)}"
+                f"{self.name!r}; axes: {sorted(self._axis_names)}"
             )
         if not 0.0 < fidelity <= 1.0:
             raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")

@@ -86,11 +86,13 @@ def _encoder_space() -> DesignSpace:
                 "rhs_tile_fits_memb",
                 _rhs_tile_fits_memb,
                 "tile_k * super_n * 4B <= mem_b_bytes",
+                axes=("tile_k", "super_n", "mem_b_bytes"),
             ),
             Constraint(
                 "mme_plan_fits",
                 _mme_plan_fits,
                 "MME grouping fits the AIE tile/stream budget",
+                axes=("num_mme",),
             ),
         ),
     )
@@ -155,16 +157,19 @@ def _chiplet_space() -> DesignSpace:
                 "rhs_tile_fits_memb",
                 _rhs_tile_fits_memb,
                 "tile_k * super_n * 4B <= mem_b_bytes",
+                axes=("tile_k", "super_n", "mem_b_bytes"),
             ),
             Constraint(
                 "mme_plan_fits",
                 _mme_plan_fits,
                 "MME grouping fits the AIE tile/stream budget",
+                axes=("num_mme",),
             ),
             Constraint(
                 "chips_cover_segments",
                 _chips_cover_segments,
                 "num_chips <= encoder simulation-group count",
+                axes=("num_chips",),
             ),
         ),
     )

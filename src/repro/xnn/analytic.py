@@ -868,46 +868,55 @@ class EncoderBatchEvaluator:
         if not param_sets:
             return []
         resolved: List[Dict[str, Any]] = []
+        # One _rows entry per distinct single-chip design: every chip count
+        # and link of a design indexes the same row.
         base_sets: List[Dict[str, Any]] = []
+        row_of_key: Dict[Any, int] = {}
+        row_of: List[int] = []
         for raw in param_sets:
             params = dict(_CHIPLET_DEFAULTS)
             params.update(raw)
             resolved.append(params)
-            base_sets.append(
-                {
-                    key: value
-                    for key, value in params.items()
-                    if key not in _CHIPLET_ONLY
-                }
-            )
+            base = {
+                key: value for key, value in params.items() if key not in _CHIPLET_ONLY
+            }
+            # Type-exact key: 1, 1.0 and True stay distinct designs.
+            design = tuple((key, type(value), value) for key, value in base.items())
+            try:
+                row = row_of_key.get(design)
+            except TypeError:  # an unhashable value: the point gets its own row
+                row, design = None, None
+            if row is None:
+                row = len(base_sets)
+                base_sets.append(base)
+                if design is not None:
+                    row_of_key[design] = row
+            row_of.append(row)
         rows = self._rows(base_sets, encoder_config)
+        segment_latency = [tuple(cells) for cells in rows.segment_latency.tolist()]
         payloads: List[Dict[str, Any]] = []
-        for index, params in enumerate(resolved):
+        for params, row in zip(resolved, row_of):
             num_chips = params["num_chips"]
             if num_chips == 1:
-                payloads.append(self._encoder_payload(rows, index))
+                payloads.append(self._encoder_payload(rows, row))
                 continue
             link = InterChipLink.from_design(
                 params["link_gbs"],
                 params["link_hop_us"],
                 params["link_serialization_us"],
             )
-            segment_latency = [
-                float(rows.segment_latency[index, position])
-                for position in range(rows.segment_latency.shape[1])
-            ]
-            ddr_bytes_total, lpddr_bytes_total = self._traffic(rows, index)
+            ddr_bytes_total, lpddr_bytes_total = self._traffic(rows, row)
             payloads.append(
                 chiplet_payload(
-                    segment_latency_s=segment_latency,
-                    flops=float(rows.total_flops[index]),
+                    segment_latency_s=segment_latency[row],
+                    flops=float(rows.total_flops[row]),
                     ddr_bytes=ddr_bytes_total,
                     lpddr_bytes=lpddr_bytes_total,
                     batch=params["batch"],
                     seq_len=params["seq_len"],
                     encoder=encoder_config(params["model"]),
-                    config=rows.probes[index],
-                    per_chip_peak_flops=float(rows.peak_flops[index]),
+                    config=rows.probes[row],
+                    per_chip_peak_flops=float(rows.peak_flops[row]),
                     num_chips=num_chips,
                     link=link,
                 )

@@ -26,6 +26,7 @@ evaluator share, so that the certified contracts hold *by construction*:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -187,6 +188,7 @@ def chiplet_metrics(
     )
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def design_cost(
     config: XNNConfig,
     per_chip_peak_flops: float,
@@ -198,6 +200,10 @@ def design_cost(
     The single adapter from an :class:`XNNConfig` to the scalar cost models
     in :mod:`repro.hardware.cost`, shared by the scalar runner payloads and
     the batched evaluator so the cost keys cannot drift between paths.
+    Memoised per ``(config, peak, num_chips, link)``.  The config holds only
+    the hardware axes, so the 8,064-point ``chiplet-encoder`` grid prices
+    104 distinct keys (98% of a cold pass's calls hit) and the 120,960-point
+    fidelity-expanded grid 656; ``maxsize`` holds either whole.
     """
     scratchpad_mb = (
         config.num_mem_a * config.mem_a_bytes
@@ -227,6 +233,22 @@ def design_cost(
     return power_w, area_luts
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
+def _workload_split(
+    batch: int, seq_len: int, encoder: BertConfig, num_chips: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(cuts, boundary_bytes)`` of one workload shape over ``num_chips``.
+
+    Everything :func:`chiplet_payload` derives from the shape alone,
+    memoised: a grid holds a handful of shapes, and each rebuild walks the
+    encoder's whole layer inventory for the segment FLOPs.
+    """
+    segment_flops = encoder_segment_flops(batch=batch, seq_len=seq_len, config=encoder)
+    cuts = partition_segments(segment_flops, num_chips)
+    boundaries = encoder_boundary_bytes(batch=batch, seq_len=seq_len, config=encoder)
+    return cuts, boundaries
+
+
 def chiplet_payload(
     *,
     segment_latency_s: Sequence[float],
@@ -250,14 +272,12 @@ def chiplet_payload(
     the same way (with the chiplet end-to-end latency substituted), plus the
     multi-chip diagnostics.
     """
-    segment_flops = encoder_segment_flops(batch=batch, seq_len=seq_len, config=encoder)
-    if len(segment_flops) != len(segment_latency_s):
+    if len(segment_latency_s) != len(ENCODER_SEGMENT_NAMES):
         raise ValueError(
             f"{len(segment_latency_s)} segment latencies for "
-            f"{len(segment_flops)} encoder segments"
+            f"{len(ENCODER_SEGMENT_NAMES)} encoder segments"
         )
-    cuts = partition_segments(segment_flops, num_chips)
-    boundaries = encoder_boundary_bytes(batch=batch, seq_len=seq_len, config=encoder)
+    cuts, boundaries = _workload_split(batch, seq_len, encoder, num_chips)
     metrics = chiplet_metrics(segment_latency_s, cuts, boundaries, link)
     latency_s = metrics.latency_s
     peak_flops = num_chips * per_chip_peak_flops

@@ -14,6 +14,7 @@ import pytest
 
 from repro.explore import get_space
 from repro.runner import REGISTRY
+from repro.runner.executors import SerialExecutor
 from repro.xnn.analytic import EncoderBatchEvaluator
 
 
@@ -138,4 +139,45 @@ def test_exploration_frontiers_identical_across_proxies():
     batched = explore("batched")
     assert batched.proxy == "batched"
     assert [point.to_dict() for point in sweep.frontier] == \
+        [point.to_dict() for point in batched.frontier]
+
+
+class _RecordingExecutor(SerialExecutor):
+    """A serial executor that logs which submission path each job took."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def submit(self, scenarios, run_fn):
+        self.calls.append(("submit", len(scenarios)))
+        return super().submit(scenarios, run_fn)
+
+    def submit_chunks(self, chunks, run_chunk_fn):
+        self.calls.append(("submit_chunks", len(chunks)))
+        return super().submit_chunks(chunks, run_chunk_fn)
+
+
+@pytest.mark.parametrize("space_name", ["encoder-smoke", "chiplet-smoke"])
+def test_sweep_proxy_honours_chunk_size_off(space_name):
+    """``proxy="sweep", chunk_size="off"`` ships one scalar job per point
+    (no chunk jobs) and still lands on the batched proxy's frontier."""
+    from repro.explore import GridSearch, run_exploration
+
+    space = get_space(space_name)
+
+    def explore(proxy, chunk_size):
+        executor = _RecordingExecutor()
+        report = run_exploration(space, GridSearch(), budget=64, verify_top=0,
+                                 seed=3, proxy=proxy, executor=executor,
+                                 chunk_size=chunk_size)
+        return report, executor.calls
+
+    scalar, scalar_calls = explore("sweep", "off")
+    assert scalar_calls == [("submit", space.feasible_count())]
+    _, default_calls = explore("sweep", None)
+    assert [name for name, _ in default_calls] == ["submit_chunks"]
+    batched, _ = explore("batched", None)
+    assert scalar.evaluations == batched.evaluations == space.feasible_count()
+    assert [point.to_dict() for point in scalar.frontier] == \
         [point.to_dict() for point in batched.frontier]

@@ -14,11 +14,13 @@ Three contracts, all hard:
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from repro.explore import get_space
 from repro.runner import REGISTRY
+from repro.runner.library import _encoder_config, estimate_dse_chiplet
 from repro.xnn.analytic import EncoderBatchEvaluator
 
 #: float-noise slack on the lower-bound direction (same as the sibling
@@ -171,3 +173,100 @@ class TestBatchedChiplet:
         assert batched.proxy == "batched"
         assert [point.to_dict() for point in sweep.frontier] == \
             [point.to_dict() for point in batched.frontier]
+
+
+class TestBatchedDedup:
+    """The batched path evaluates each distinct single-chip design once and
+    lets every chip count and link of that design index its row; each point
+    must still equal the scalar runner exactly and own its payload."""
+
+    @staticmethod
+    def _generation(seed: int = 11):
+        smoke = get_space("chiplet-smoke")
+        grid = get_space("chiplet-encoder")
+        grid_points = grid.points()
+        params = [smoke.point_params(a) for a in smoke.points()]
+        params += [grid.point_params(a) for a in grid_points[::97]]
+        # Two whole 18-point blocks: one design over every chip count/link.
+        params += [grid.point_params(a) for a in grid_points[90:126]]
+        rng = random.Random(seed)
+        params += [dict(p) for p in rng.sample(params, 24)]  # repeats
+        rng.shuffle(params)
+        return params
+
+    def test_shuffled_repeated_generation_equals_scalar(self):
+        params = self._generation()
+        expected = [estimate_dse_chiplet(**p) for p in params]
+        fresh = EncoderBatchEvaluator()
+        assert fresh.evaluate_chiplet_batch(params, _encoder_config) == expected
+        # Warm memo, compared as JSON so int/float/bool types count too.
+        warm = fresh.evaluate_chiplet_batch(params, _encoder_config)
+        assert _canon(warm) == _canon(expected)
+        assert _batched()(params) == expected  # the process-wide evaluator
+
+    @staticmethod
+    def _row_counting_evaluator(monkeypatch):
+        """A fresh evaluator that records how many designs each ``_rows``
+        call receives."""
+        evaluator = EncoderBatchEvaluator()
+        sizes = []
+        original = evaluator._rows
+
+        def rows(param_sets, encoder_config):
+            sizes.append(len(param_sets))
+            return original(param_sets, encoder_config)
+
+        monkeypatch.setattr(evaluator, "_rows", rows)
+        return evaluator, sizes
+
+    def test_one_row_per_single_chip_design(self, monkeypatch):
+        evaluator, sizes = self._row_counting_evaluator(monkeypatch)
+        space = get_space("chiplet-encoder")
+        blocks = [space.point_params(a) for a in space.points()[:36]]
+        evaluator.evaluate_chiplet_batch(blocks + blocks[::-1], _encoder_config)
+        assert sizes == [2]
+
+    def test_type_distinct_values_are_distinct_rows(self, monkeypatch):
+        # 1 == 1.0 == True, but the design key is type-exact; every payload
+        # is the scalar runner's, JSON types included.
+        mixed = [
+            dict(BASE),
+            dict(BASE, batch=True),
+            dict(BASE, bandwidth_scale=1),
+            dict(BASE, mem_b_bytes=float(1 << 20)),
+            dict(BASE, num_chips=2),
+            dict(BASE, batch=True, num_chips=2),
+        ]
+        expected = [estimate_dse_chiplet(**p) for p in mixed]
+        evaluator, sizes = self._row_counting_evaluator(monkeypatch)
+        actual = evaluator.evaluate_chiplet_batch(mixed, _encoder_config)
+        assert sizes == [4]
+        assert _canon(actual) == _canon(expected)
+
+    def test_payloads_are_independent(self):
+        # The first 18 points are one design over every chip count and link,
+        # so they all share one row; each point must still own its payload.
+        design = get_space("chiplet-encoder")
+        params = [design.point_params(a) for a in design.points()[:18]]
+        expected = [estimate_dse_chiplet(**p) for p in params]
+        payloads = _batched()(params + params)
+        multi = next(i for i, p in enumerate(params) if p["num_chips"] > 1)
+        single = next(i for i, p in enumerate(params) if p["num_chips"] == 1)
+        payloads[multi]["cuts"].append(99)
+        payloads[multi]["stage_bounds_s"]["chip0"] = -1.0
+        payloads[single]["latency_s"] = -1.0
+        mutated = (multi, single)
+        assert [pl for i, pl in enumerate(payloads) if i not in mutated] == \
+            [e for i, e in enumerate(expected + expected) if i not in mutated]
+        assert _batched()(params) == expected
+
+    def test_infeasible_design_in_a_shared_generation_raises(self):
+        good = dict(BASE, num_chips=2)
+        bad = dict(BASE, num_mme=40, num_chips=2)
+        with pytest.raises(ValueError):
+            estimate_dse_chiplet(**bad)
+        for generation in ([good, bad, dict(good, num_chips=3)],
+                           [bad, dict(bad, num_chips=3), good]):
+            with pytest.raises(ValueError):
+                EncoderBatchEvaluator().evaluate_chiplet_batch(
+                    generation, _encoder_config)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.explore import Axis, Constraint, DesignSpace, get_space, space_names
@@ -69,6 +71,91 @@ class TestEnumeration:
         points = space.points()
         assert len(points) == 2
         assert all(p["tile_m"] == 768 for p in points)
+
+
+def _reference_walk(space):
+    """Every raw point in axis-major order with its predicate-by-predicate
+    feasibility: the plain walk the feasibility mask must reproduce."""
+    names = [axis.name for axis in space.axes]
+    for combo in itertools.product(*(axis.values for axis in space.axes)):
+        assignment = dict(zip(names, combo))
+        yield assignment, all(c.satisfied(assignment) for c in space.constraints)
+
+
+class _CountingPredicate:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, assignment):
+        self.calls += 1
+        return self.fn(assignment)
+
+
+class TestFeasibilityMask:
+    @pytest.mark.parametrize("name,raw", [
+        ("encoder", 1728),
+        ("encoder-smoke", 16),
+        ("chiplet-encoder", 9216),
+        ("chiplet-smoke", 12),
+    ])
+    def test_mask_equals_predicate_walk(self, name, raw):
+        space = get_space(name)
+        walk = list(_reference_walk(space))
+        assert len(walk) == space.cardinality == raw
+        feasible = [assignment for assignment, ok in walk if ok]
+        assert list(space.iter_points()) == feasible  # order included
+        assert space.points() == feasible
+        assert space.feasible_count() == len(feasible)
+        assert [space.feasible(a) for a, _ in walk] == [ok for _, ok in walk]
+
+    def test_every_shipped_space_is_covered(self):
+        assert set(space_names()) == {
+            "encoder", "encoder-smoke", "chiplet-encoder", "chiplet-smoke"}
+
+    def test_undeclared_axis_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown axis name"):
+            _toy_space(constraints=(
+                Constraint("typo", lambda a: True, axes=("tile_n",)),
+            ))
+
+    def test_declared_axes_run_once_per_combination(self):
+        predicate = _CountingPredicate(lambda a: a["tile_m"] >= 768)
+        space = _toy_space(constraints=(
+            Constraint("big_tiles_only", predicate, axes=("tile_m",)),
+        ))
+        assert space.points() == [{"seq_len": 64, "tile_m": 768},
+                                  {"seq_len": 128, "tile_m": 768}]
+        assert predicate.calls == 2  # tile_m has two values
+        assert not space.feasible({"seq_len": 128, "tile_m": 256})
+        assert predicate.calls == 2  # on-grid: a mask lookup
+
+    def test_off_grid_value_falls_back_to_predicates(self):
+        predicate = _CountingPredicate(lambda a: a["tile_m"] >= 768)
+        space = _toy_space(constraints=(
+            Constraint("big_tiles_only", predicate, axes=("tile_m",)),
+        ))
+        assert space.feasible_count() == 2
+        calls = predicate.calls
+        assert space.feasible({"seq_len": 64, "tile_m": 1024})  # not on axis
+        assert not space.feasible({"seq_len": 64, "tile_m": 512})
+        # 768.0 == 768 but is not the axis value: type-exact, so off-grid.
+        assert space.feasible({"seq_len": 64, "tile_m": 768.0})
+        assert predicate.calls == calls + 3
+        params = space.point_params({"seq_len": 64, "tile_m": 1024})
+        assert params["tile_m"] == 1024
+        with pytest.raises(ValueError, match="big_tiles_only"):
+            space.point_params({"seq_len": 64, "tile_m": 512})
+
+    def test_empty_axes_constraint_reads_every_axis(self):
+        predicate = _CountingPredicate(
+            lambda a: a["seq_len"] * a["tile_m"] <= 128 * 256)
+        space = _toy_space(constraints=(Constraint("budget", predicate),))
+        assert space.points() == [{"seq_len": 64, "tile_m": 256},
+                                  {"seq_len": 128, "tile_m": 256}]
+        assert space.feasible_count() == 2
+        assert predicate.calls == space.cardinality
+        assert not space.feasible({"seq_len": 64, "tile_m": 768})
 
 
 class TestMaterialise:
