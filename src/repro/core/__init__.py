@@ -20,7 +20,7 @@ from .exceptions import (
 )
 from .functional_unit import FunctionalUnit, FUStats, PassthroughFU
 from .instruction import InstructionPacket, InstructionSizeReport, MOp, RSNProgram
-from .kernel import Delay, Fork, Parallel, Read, Wait, Write, drain, send_all
+from .kernel import Delay, Fork, Forward, Parallel, Read, Wait, Write, drain, send_all
 from .message import ControlToken, StreamMessage, TileMessage, dtype_size
 from .network import Datapath, Edge
 from .path import Path, PathProgram
@@ -41,6 +41,7 @@ __all__ = [
     "ExitUOp",
     "FieldSpec",
     "Fork",
+    "Forward",
     "FunctionalUnit",
     "FUStats",
     "InstructionDecoder",

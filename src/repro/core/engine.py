@@ -20,10 +20,12 @@ Supported requests (see :mod:`repro.core.kernel` for the dataclasses):
     a message is available; the received message is the value of the ``yield``
     expression.
 ``Parallel(branches)``
-    Run several sub-generators concurrently and resume when all of them have
+    Run several branches concurrently and resume when all of them have
     finished.  Used for double-buffered FUs that load a new tile while sending
     the previous one ("load/send operations will be executed in parallel if
-    they are both enabled", Fig. 7b).
+    they are both enabled", Fig. 7b) and for the mesh routers' fan-out.  A
+    branch is a sub-generator, run as a child process, or one bare ``Read``,
+    ``Write`` or ``Forward(source, dest)`` request, run as a *strand* (below).
 ``Fork(branch)``
     Spawn a sub-generator as an independent process and continue immediately.
 ``Wait(handle)``
@@ -32,6 +34,31 @@ Supported requests (see :mod:`repro.core.kernel` for the dataclasses):
 The engine is deliberately self-contained (no ``simpy`` dependency) so the
 blocking, back-pressure, and deadlock behaviour that the paper reasons about
 in Sections 3.1 and 3.3 is fully visible in this repository.
+
+Strands
+-------
+Almost every ``Parallel`` branch of the RSN-XNN FUs is one request: a
+ping-pong load is one read, a send one write, a broadcast one write per
+destination and a router hop (``Forward``) one read followed by one write.
+The engine runs such a branch itself, as a :class:`Strand`: a small slotted
+record with no generator, no :class:`Process`, no start event and no name
+string until a trace or a deadlock report asks for one.  A strand blocks,
+transfers and is woken on exactly the channel paths a process uses, so it
+takes the same simulated time as the equivalent one-request generator.  When
+its request completes, the completing handler (``_complete_transfer``,
+``_handle_parallel``'s immediate read, ``_wake_reader``) writes the result
+into the branch's :class:`_Join` record directly; generator branches report
+to the same record when they finish.  Strands are not processes: they are
+not listed in :attr:`SimulationStats.process_times` and
+:attr:`SimulationStats.processes` does not count them.
+
+Running a branch inline instead of as a scheduled child changes the order of
+events that share a timestamp, never a timestamp.  That rests on one
+premise: every stream is point-to-point.  ``Datapath.connect`` makes one
+channel per (source port, sink port) and ``Port.bind`` refuses a second, so
+each channel has one producer and one consumer, and when a message lands and
+when its slot frees depend only on those two, not on how same-time events
+interleave.
 
 Hot-path design
 ---------------
@@ -58,10 +85,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from .exceptions import DeadlockError, SimulationLimitError, StreamClosedError
-from .kernel import Delay, Fork, Parallel, Read, Wait, Write
+from .kernel import Delay, Fork, Forward, Parallel, Read, Wait, Write
 from .stream import Port, StreamChannel
 
-__all__ = ["Process", "ProcessHandle", "Simulator", "SimulationStats"]
+__all__ = ["Process", "ProcessHandle", "Simulator", "SimulationStats", "Strand"]
 
 
 KernelGenerator = Generator[Any, Any, Any]
@@ -78,6 +105,8 @@ class SimulationStats:
 
     end_time: float = 0.0
     events: int = 0
+    #: processes run: top-level, forked and generator ``Parallel`` branches;
+    #: strands (request-only branches) are not processes and not counted.
     processes: int = 0
     #: per-process ``(busy, blocked)`` seconds.
     process_times: Dict[str, Tuple[float, float]] = field(default_factory=dict)
@@ -114,6 +143,8 @@ _WAITING_RENDERERS: Dict[str, Callable[[Any], str]] = {
     "transfer": lambda name: f"transfer on {name!r}",
     "read": lambda name: f"data on {name!r}",
     "write": lambda name: f"write space on {name!r}",
+    "parallel": lambda count: f"{count} parallel branch(es)",
+    "join": lambda process: f"join on {process.name!r}",
 }
 
 
@@ -123,7 +154,9 @@ class Process:
     A process wraps a generator.  The simulator repeatedly resumes it with the
     value produced by its last request and interprets the next request it
     yields.  Child processes created by :class:`Parallel` and :class:`Fork`
-    are ordinary processes whose completion wakes the parent.
+    are ordinary processes whose completion wakes the parent; a ``Parallel``
+    child reports to its branch's :class:`_Join` record (``join`` /
+    ``join_index``).
     """
 
     #: process states, used for introspection and deadlock reports.
@@ -144,7 +177,8 @@ class Process:
         "result",
         "finished",
         "_waiting",
-        "outstanding_children",
+        "join",
+        "join_index",
         "busy_time",
         "blocked_time",
         "last_state_change",
@@ -169,8 +203,9 @@ class Process:
         #: what the process is waiting on: ``""``, a pre-formatted string, or
         #: a ``(tag, detail)`` tuple rendered lazily by :attr:`waiting_on`.
         self._waiting: Any = ""
-        #: number of outstanding children the process is joined on.
-        self.outstanding_children = 0
+        #: the ``Parallel`` join this process is a branch of, and its index.
+        self.join: Optional[_Join] = None
+        self.join_index = 0
         #: accumulated busy / blocked simulated time.
         self.busy_time = 0.0
         self.blocked_time = 0.0
@@ -194,6 +229,70 @@ class Process:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Process({self.name!r}, {self.state})"
+
+
+class _Join:
+    """The join record of one ``Parallel``: its parent and branch results.
+
+    Strands and generator children write their result into ``results`` when
+    they finish; the last one schedules the parent's resume.
+    """
+
+    __slots__ = ("process", "results", "outstanding")
+
+    def __init__(self, process: Process, count: int):
+        self.process = process
+        self.results: List[Any] = [None] * count
+        self.outstanding = count
+
+
+class Strand:
+    """One request-only ``Parallel`` branch, run by the engine itself.
+
+    Carries just the state the channel paths it shares with processes touch
+    (blocking, transfer accounting, traces, deadlock reports).  It is never
+    resumed and never listed among the simulator's processes; its ``name``
+    -- the one a child process of the branch would have had -- is formatted
+    only when a trace or an error reads it.
+    """
+
+    __slots__ = (
+        "join",
+        "index",
+        "dest",
+        "state",
+        "_waiting",
+        "busy_time",
+        "blocked_time",
+        "last_state_change",
+    )
+
+    def __init__(
+        self,
+        join: _Join,
+        index: int,
+        now: float,
+        dest: Optional[StreamChannel] = None,
+    ):
+        self.join = join
+        self.index = index
+        #: the channel a ``Forward`` strand writes on once its read completes;
+        #: ``None`` for ``Read`` and ``Write`` strands.
+        self.dest = dest
+        self.state = Process.RUNNING
+        self._waiting: Any = ""
+        self.busy_time = 0.0
+        self.blocked_time = 0.0
+        self.last_state_change = now
+
+    @property
+    def name(self) -> str:
+        return f"{self.join.process.name}/p{self.index}"
+
+    waiting_on = Process.waiting_on
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Strand({self.name!r}, {self.state})"
 
 
 #: state groups for time accounting, module-level so the hot paths do not
@@ -419,6 +518,8 @@ class Simulator:
         self._live_processes -= 1
         if self._tracing:
             self._record("finish", process)
+        if process.join is not None:
+            self._branch_done(process.join, process.join_index, result)
         for callback in process.on_finish:
             callback(process)
         process.on_finish.clear()
@@ -463,11 +564,11 @@ class Simulator:
 
     # -- stream writes ---------------------------------------------------------
 
-    def _resolve_channel(self, process: Process, port: Any) -> StreamChannel:
-        if isinstance(port, StreamChannel):
-            return port
+    def _resolve_channel(self, process: Any, port: Any) -> StreamChannel:
         if isinstance(port, Port):
             return port.require_channel()
+        if isinstance(port, StreamChannel):
+            return port
         raise TypeError(
             f"process {process.name!r} referenced {port!r}; "
             "expected a Port or StreamChannel"
@@ -507,7 +608,7 @@ class Simulator:
         self._start_transfer(process, channel, message, nbytes)
 
     def _start_transfer(
-        self, process: Process, channel: StreamChannel, message: Any, nbytes: int
+        self, process: Any, channel: StreamChannel, message: Any, nbytes: int
     ) -> None:
         channel._in_flight += 1  # reserve the slot (StreamChannel.reserve)
         # Inline channel.transfer_time(nbytes).
@@ -537,7 +638,7 @@ class Simulator:
             )
 
     def _complete_transfer(
-        self, process: Process, channel: StreamChannel, message: Any, nbytes: int
+        self, process: Any, channel: StreamChannel, message: Any, nbytes: int
     ) -> None:
         # Inline channel.deliver(message, nbytes).
         if channel.closed:
@@ -552,7 +653,15 @@ class Simulator:
         if occupancy > stats.max_occupancy:
             stats.max_occupancy = occupancy
         self._wake_reader(channel)
-        self._resume(process)
+        if process.__class__ is Strand:
+            # A Forward strand's result is the message it forwarded.
+            self._branch_done(
+                process.join,
+                process.index,
+                None if process.dest is None else message,
+            )
+        else:
+            self._resume(process)
 
     def _wake_reader(self, channel: StreamChannel) -> None:
         if channel._blocked_readers and channel._queue:
@@ -561,7 +670,10 @@ class Simulator:
             channel.stats.reader_block_time += self.now - reader.last_state_change
             if self._tracing:
                 self._record("unblock-read", reader, channel.name)
-            self._schedule_now(self._resume, reader, message)
+            if reader.__class__ is Strand:
+                self._strand_received(reader, message)
+            else:
+                self._schedule_now(self._resume, reader, message)
             self._wake_writer(channel)
 
     def _wake_writer(self, channel: StreamChannel) -> None:
@@ -611,26 +723,96 @@ class Simulator:
     # -- structured concurrency ------------------------------------------------
 
     def _handle_parallel(self, process: Process, request: Parallel) -> None:
-        branches = list(request.branches)
-        if not branches:
+        branches = request.branches
+        count = len(branches)
+        if not count:
             self._schedule_now(self._resume, process, [])
             return
-        results: List[Any] = [None] * len(branches)
-        process.outstanding_children = len(branches)
+        join = _Join(process, count)
         self._set_state(process, Process.BLOCKED_JOIN)
-        process._waiting = f"{len(branches)} parallel branch(es)"
-
-        def make_callback(index: int) -> Callable[[Process], None]:
-            def callback(child: Process) -> None:
-                results[index] = child.result
-                process.outstanding_children -= 1
-                if process.outstanding_children == 0:
-                    self._schedule_now(self._resume, process, results)
-            return callback
-
+        process._waiting = ("parallel", count)
+        now = self.now
         for index, branch in enumerate(branches):
-            child = self.add_process(f"{process.name}/p{index}", branch, parent=process)
-            child.on_finish.append(make_callback(index))
+            if isinstance(branch, Write):
+                self._strand_write(
+                    Strand(join, index, now),
+                    self._resolve_channel(process, branch.port),
+                    branch.message,
+                )
+            elif isinstance(branch, Read):
+                self._strand_read(
+                    Strand(join, index, now),
+                    self._resolve_channel(process, branch.port),
+                )
+            elif isinstance(branch, Forward):
+                dest = self._resolve_channel(process, branch.dest)
+                self._strand_read(
+                    Strand(join, index, now, dest),
+                    self._resolve_channel(process, branch.source),
+                )
+            else:
+                child = self.add_process(
+                    f"{process.name}/p{index}", branch, parent=process
+                )
+                child.join = join
+                child.join_index = index
+
+    def _branch_done(self, join: _Join, index: int, result: Any) -> None:
+        join.results[index] = result
+        join.outstanding -= 1
+        if not join.outstanding:
+            self._schedule_now(self._resume, join.process, join.results)
+
+    def _strand_read(self, strand: Strand, channel: StreamChannel) -> None:
+        """:meth:`_handle_read` for a strand, on an already resolved channel."""
+        queue = channel._queue
+        if queue:
+            message = queue.popleft()
+            if self._tracing:
+                self._record("read", strand, channel.name)
+            self._wake_writer(channel)
+            self._strand_received(strand, message)
+            return
+        if channel.closed:
+            raise StreamClosedError(
+                f"process {strand.name!r} read from closed, empty channel "
+                f"{channel.name!r}"
+            )
+        strand.state = Process.BLOCKED_READ
+        strand._waiting = ("read", channel.name)
+        channel._blocked_readers.append(strand)
+        if self._tracing:
+            self._record("block-read", strand, channel.name)
+
+    def _strand_received(self, strand: Strand, message: Any) -> None:
+        """A strand's read completed: finish a ``Read``, write on a ``Forward``."""
+        if strand.dest is None:
+            self._branch_done(strand.join, strand.index, message)
+        else:
+            self._strand_write(strand, strand.dest, message)
+
+    def _strand_write(
+        self, strand: Strand, channel: StreamChannel, message: Any
+    ) -> None:
+        """:meth:`_handle_write` for a strand, on an already resolved channel."""
+        if channel.closed:
+            raise StreamClosedError(
+                f"process {strand.name!r} wrote to closed channel {channel.name!r}"
+            )
+        nbytes = getattr(message, "nbytes", 0) or 0
+        capacity = channel.capacity
+        if (
+            capacity is not None
+            and len(channel._queue) + channel._in_flight >= capacity
+        ):
+            # A Forward strand may arrive here after a blocked read.
+            self._set_state(strand, Process.BLOCKED_WRITE)
+            strand._waiting = ("write", channel.name)
+            channel._blocked_writers.append((strand, message, nbytes))
+            if self._tracing:
+                self._record("block-write", strand, channel.name)
+            return
+        self._start_transfer(strand, channel, message, nbytes)
 
     def _handle_fork(self, process: Process, request: Fork) -> None:
         child = self.add_process(
@@ -645,7 +827,7 @@ class Simulator:
             self._schedule_now(self._resume, process, handle.result)
             return
         self._set_state(process, Process.BLOCKED_JOIN)
-        process._waiting = f"join on {handle.process.name!r}"
+        process._waiting = ("join", handle.process)
 
         def callback(child: Process) -> None:
             self._schedule_now(self._resume, process, child.result)

@@ -6,7 +6,8 @@ request objects defined here; the simulation engine interprets them.  The
 request set intentionally mirrors the operations that appear in the paper's
 kernel pseudo-code (Fig. 6 and Fig. 7b): stream reads, stream writes, and the
 time spent transforming data, plus structured concurrency for the
-"load and send in parallel" idiom of double-buffered FUs.
+"load and send in parallel" idiom of double-buffered FUs and the router hop
+(:class:`Forward`) of the mesh FUs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "Read",
     "Write",
     "Parallel",
+    "Forward",
     "Fork",
     "Wait",
     "drain",
@@ -62,14 +64,36 @@ class Write:
 
 
 @dataclass(frozen=True, slots=True)
-class Parallel:
-    """Run several sub-generators concurrently; resume when all finish.
+class Forward:
+    """Read one message from ``source`` and write it on ``dest``: a router hop.
 
-    The value of the ``yield`` expression is the list of branch results in the
-    order the branches were given.
+    Valid only as a :class:`Parallel` branch.  The engine runs it as a
+    strand, like a bare :class:`Read` or :class:`Write` branch, and the
+    branch result is the forwarded message.
     """
 
-    branches: Sequence[Generator[Any, Any, Any]]
+    source: Any
+    dest: Any
+
+
+@dataclass(frozen=True, slots=True)
+class Parallel:
+    """Run several branches concurrently; resume when all finish.
+
+    A branch is a sub-generator or a single request: a bare :class:`Read`,
+    :class:`Write` or :class:`Forward`.  The engine runs a sub-generator as a
+    child process and a single request as a *strand* -- the request alone,
+    with no generator or process behind it.  Both take exactly the simulated
+    time the request would take in a one-request generator.
+
+    The value of the ``yield`` expression is the list of branch results in the
+    order the branches were given: a sub-generator gives its return value, a
+    ``Read`` or ``Forward`` the message it read, a ``Write`` ``None``.
+    Request branches are immutable, so a kernel may yield the same
+    ``Parallel`` of requests on every iteration.
+    """
+
+    branches: Sequence[Any]
 
 
 @dataclass(frozen=True, slots=True)

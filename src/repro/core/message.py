@@ -139,8 +139,16 @@ class TileMessage(StreamMessage):
         coords: Tuple[int, ...] = (),
     ) -> "TileMessage":
         """Build a metadata-only tile message (timing-only mode)."""
+        shape = tuple(int(s) for s in shape)
+        count = 1
+        for dim in shape:
+            count *= dim
         return cls(
-            shape=tuple(int(s) for s in shape), dtype=dtype, tag=tag, coords=coords
+            nbytes=count * dtype_size(dtype),
+            shape=shape,
+            dtype=dtype,
+            tag=tag,
+            coords=coords,
         )
 
     def map(self, fn: Any, tag: str | None = None) -> "TileMessage":

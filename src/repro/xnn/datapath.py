@@ -58,6 +58,12 @@ class XNNConfig:
     spec: VCK190Spec = VCK190
 
     def __post_init__(self) -> None:
+        # FU counts must be exact ints: memo keys compare values, and
+        # ``3.0 == 3`` would let a float count share an int count's entry.
+        for knob in ("num_mme", "num_mem_a", "num_mem_b", "num_mem_c"):
+            value = getattr(self, knob)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{knob} must be an int, got {value!r}")
         if self.num_mme < 1 or self.num_mem_c < self.num_mme:
             raise ValueError("need at least one MME and one MemC per MME")
         if self.num_mem_a < 1 or self.num_mem_b < 1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Generator, List, Sequence, Tuple
 
-from ...core import ConfigurationError, FunctionalUnit, Parallel, UOp, Write
+from ...core import ConfigurationError, Forward, FunctionalUnit, Parallel, UOp, Write
 
 __all__ = ["MeshFU"]
 
@@ -30,6 +30,10 @@ class MeshFU(FunctionalUnit):
     * **scatter** -- field ``routes``: a tuple of ``(src, dest)`` pairs; each
       round reads one message per route and forwards it, ``count`` times.
       Used for giving each MME its own RHS tile (MeshB in Fig. 10).
+
+    Each broadcast copy and each one-destination route is a single request
+    the engine runs as a strand; only a source serving several destinations
+    in turn keeps a generator branch (:meth:`_route_chain`).
     """
 
     def __init__(self, name: str, fu_type: str = "Mesh"):
@@ -53,9 +57,24 @@ class MeshFU(FunctionalUnit):
             per_source: "OrderedDict[str, List[str]]" = OrderedDict()
             for src, dest in routes:
                 per_source.setdefault(src, []).append(dest)
+            hops = [
+                Forward(self._in(src), self._out(dests[0]))
+                for src, dests in per_source.items()
+                if len(dests) == 1
+            ]
+            chains = [
+                (src, dests) for src, dests in per_source.items() if len(dests) > 1
+            ]
+            request = Parallel(tuple(hops))
             for _ in range(count):
-                yield Parallel([self._route_chain(src, dests)
-                                for src, dests in per_source.items()])
+                if chains:
+                    request = Parallel(
+                        hops + [self._route_chain(src, dests) for src, dests in chains]
+                    )
+                results = yield request
+                for message in results[: len(hops)]:
+                    self.stats.bytes_in += message.nbytes
+                    self.stats.bytes_out += message.nbytes
             return
         src = uop.get("src")
         dests = tuple(uop.get("dests", ()))
@@ -64,16 +83,17 @@ class MeshFU(FunctionalUnit):
                 f"{self.name}: uOP must provide either routes or src+dests, got {uop!r}"
             )
         read_src = self.read_request(f"from_{src}")
+        outs = [self._out(dest) for dest in dests]
         for _ in range(count):
             message = yield read_src
             self.stats.bytes_in += message.nbytes
             self.stats.bytes_out += message.nbytes * len(dests)
             # A broadcast copies the tile onto every destination's physical
             # stream at the same time.
-            yield Parallel([self._forward(dest, message) for dest in dests])
-
-    def _forward(self, dest: str, message) -> Generator:
-        yield Write(self._out(dest), message)
+            if len(outs) == 1:
+                yield Write(outs[0], message)
+            else:
+                yield Parallel([Write(out, message) for out in outs])
 
     def _route_chain(self, src: str, dests: Sequence[str]) -> Generator:
         """Serve one source stream: forward one tile to each listed destination."""

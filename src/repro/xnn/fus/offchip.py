@@ -127,7 +127,7 @@ class _OffchipFU(FunctionalUnit):
         row0, col0 = int(uop.get("row0", 0)), int(uop.get("col0", 0))
         rows, cols = int(uop["rows"]), int(uop["cols"])
         strided = bool(uop.get("strided", False))
-        tag = uop.get("tag", f"{tensor}[{row0},{col0}]")
+        tag = uop["tag"] if "tag" in uop else f"{tensor}[{row0},{col0}]"
         tile = self.memory.read_tile(tensor, row0, col0, rows, cols, tag=tag)
         yield Delay(self.channel.read_time(tile.nbytes, strided=strided))
         self.stats.bytes_in += tile.nbytes

@@ -86,9 +86,7 @@ class _PingPongScratchpad(FunctionalUnit):
         self._store_slot(slot, tile)
         self.stats.bytes_in += tile.nbytes
 
-    def _send_branch(
-        self, dest_port_name: str, slot: str, repeat: int, transform=None
-    ) -> Generator:
+    def _send_tile(self, slot: str, transform=None) -> TileMessage:
         tile = self._read_slot(slot)
         if tile is None:
             raise ConfigurationError(
@@ -97,6 +95,12 @@ class _PingPongScratchpad(FunctionalUnit):
             )
         if transform is not None:
             tile = transform(tile)
+        return tile
+
+    def _send_branch(
+        self, dest_port_name: str, slot: str, repeat: int, transform=None
+    ) -> Generator:
+        tile = self._send_tile(slot, transform)
         for _ in range(repeat):
             yield Write(self.port(dest_port_name), tile)
             self.stats.bytes_out += tile.nbytes
@@ -115,6 +119,10 @@ class _PingPongScratchpad(FunctionalUnit):
         The buffers are selected with the *current* flag -- receive into one,
         send from the other -- and the flag flips only when a load happens, so
         the tile loaded by this kernel becomes the send buffer of the next.
+
+        A load with a single send runs as two engine strands, one ``Read``
+        and one ``Write``; the loaded tile is stored after the join (the two
+        slots differ, so the send never sees it early).
         """
         if not load and not send:
             return
@@ -122,15 +130,25 @@ class _PingPongScratchpad(FunctionalUnit):
         send_slot = "pong" if self._recv_to_ping else "ping"
         if load:
             self._recv_to_ping = not self._recv_to_ping
-        branches = []
-        if load:
-            branches.append(self._load_branch(source_port, recv_slot))
-        if send:
-            branches.append(self._send_branch(dest_port, send_slot, repeat, transform))
-        if len(branches) == 1:
-            yield from branches[0]
+        if not send:
+            yield from self._load_branch(source_port, recv_slot)
+        elif not load:
+            yield from self._send_branch(dest_port, send_slot, repeat, transform)
+        elif repeat == 1:
+            tile = self._send_tile(send_slot, transform)
+            loaded, _ = yield Parallel(
+                (self.read_request(source_port), Write(self.port(dest_port), tile))
+            )
+            self._store_slot(recv_slot, loaded)
+            self.stats.bytes_in += loaded.nbytes
+            self.stats.bytes_out += tile.nbytes
         else:
-            yield Parallel(branches)
+            yield Parallel(
+                [
+                    self._load_branch(source_port, recv_slot),
+                    self._send_branch(dest_port, send_slot, repeat, transform),
+                ]
+            )
 
 
 class MemAFU(_PingPongScratchpad):

@@ -76,6 +76,39 @@ def test_batched_rejects_infeasible_designs_like_scalar():
         evaluator.evaluate_batch([bad], _encoder_config)
 
 
+def _outcome(fn):
+    try:
+        return fn()
+    except TypeError as error:
+        return TypeError, str(error)
+
+
+@pytest.mark.parametrize("counts,point", [
+    # float first, then the equal int: the rejected float must not poison
+    # the memo the int point then reads.
+    ((3.0, 3), {"batch": 4, "seq_len": 384, "tile_m": 384, "tile_k": 64,
+                "super_n": 512, "pipeline_attention": False}),
+    # int first, then the equal float: the memoized int must not let the
+    # float through.
+    ((4, 4.0), {"batch": 4, "seq_len": 384, "tile_m": 384, "tile_k": 64,
+                "super_n": 512, "pipeline_attention": True}),
+])
+def test_float_mme_count_rejected_in_either_order_like_scalar(counts, point):
+    """Both orders on the process-wide evaluator match the scalar runner."""
+    from repro.runner.library import _encoder_config
+    from repro.xnn.analytic import encoder_batch_evaluator
+
+    evaluator = encoder_batch_evaluator()
+    for num_mme in counts:
+        params = dict(point, num_mme=num_mme)
+        expected = _outcome(lambda: _scalar()(**params))
+        actual = _outcome(
+            lambda: evaluator.evaluate_batch([params], _encoder_config)[0]
+        )
+        assert actual == expected
+        assert isinstance(expected, tuple) == isinstance(num_mme, float)
+
+
 def _catalogue_params(kind):
     return [dict(s.params) for s in REGISTRY.select() if s.kind == kind]
 
